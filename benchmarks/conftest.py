@@ -9,8 +9,7 @@ Every *successful* benchmark session additionally appends one record to
 the append-only trajectory store (``benchmarks/TRAJECTORY.jsonl``): the
 flattened ``BENCH_*.json`` metrics (every report in the directory —
 ``BENCH_sim.json``'s chain-replay and bulk-load speedups fold in like
-the rest), which backend produced each section, and an environment
-fingerprint.  ``scripts/check_trajectory.py`` gates
+the rest) and an environment fingerprint.  ``scripts/check_trajectory.py`` gates
 the latest record against the rolling median, so the perf history across
 PRs is both durable and enforced (see docs/observability.md).  Set
 ``REPRO_NO_TRAJECTORY=1`` to suppress the append (used by tests that run

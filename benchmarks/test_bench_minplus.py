@@ -2,20 +2,21 @@
 
 Load-bearing properties gated in CI:
 
-* the convex ⊗ convex slope-merge fast path must beat the generic
-  per-interval envelope kernel by >= 10x on large (>= 200-segment)
-  operands — that is the regime where design-space sweeps spend their
+* the convex ⊗ convex slope-merge fast path must beat the per-cell
+  generic construction (the :mod:`repro.reference` oracle) by >= 10x on
+  large (>= 200-segment) operands — that is the regime where design-space sweeps spend their
   time, and a dispatch regression would silently fall back to the
   O(n·m) kernel;
 * the streaming workload extraction must process a million-event demand
   trace in bounded memory — a small multiple of the chunk size, not of
   the trace — while returning bit-identical envelopes to the one-shot
   kernel;
-* the batched SoA backend must beat the numpy reference kernel by >= 5x
-  on a 200-segment *general* pair (no fast path applies — the regime the
-  backend exists for) and by >= 2.5x on a ``convolve_many`` batch of 32
-  distinct general pairs, with envelope-identical results.  The report
-  records which backend produced the numbers.
+* the generic min-plus kernel (the batched construction of
+  :mod:`repro.curves.soa`) must beat the per-cell oracle of
+  :mod:`repro.reference` by >= 5x on a 200-segment *general* pair (no
+  fast path applies — the regime the kernel exists for) and by >= 2.5x on
+  a ``convolve_many`` batch of 32 distinct general pairs, with
+  envelope-identical results.
 
 All gates run as plain tests (no ``--benchmark-only`` needed) and merge
 their measurements into ``benchmarks/BENCH_minplus.json``.
@@ -30,10 +31,11 @@ import numpy as np
 import pytest
 
 import repro.perf as perf
-from repro.curves.backends import get_backend, use_backend
 from repro.curves.curve import PiecewiseLinearCurve
-from repro.curves.minplus import convolve, convolve_generic
+from repro.curves.minplus import convolve
+from repro.curves.soa import convolve_batch
 from repro.perf.batch import convolve_many
+from repro.reference import convolve_generic
 from repro.util.staircase import (
     cumulative_envelope_minmax,
     make_k_grid,
@@ -154,67 +156,59 @@ def _random_general(rng: np.random.Generator, n: int) -> PiecewiseLinearCurve:
     return PiecewiseLinearCurve(xs, ys, ss)
 
 
-def test_general_backend_speedup_gate():
-    """The batched SoA backend must be >= 5x faster than the numpy
-    reference on one 200-segment general pair, envelope-identically."""
+def test_general_pair_speedup_gate():
+    """The generic kernel must be >= 5x faster than the per-cell oracle on
+    one 200-segment general pair, envelope-identically."""
     rng = np.random.default_rng(20240808)
     f = _random_general(rng, SEGMENTS)
     g = _random_general(rng, SEGMENTS)
     assert not (f.is_convex or f.is_concave)
     assert not (g.is_convex or g.is_concave)
 
-    soa = get_backend("soa")
-    perf.configure(enabled=False)  # time the kernels, not the memo cache
-    try:
-        t0 = time.perf_counter()
-        oracle = convolve_generic(f, g)
-        generic_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    oracle = convolve_generic(f, g)
+    oracle_seconds = time.perf_counter() - t0
 
-        soa_seconds = np.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            out = soa.convolve(f, g)
-            soa_seconds = min(soa_seconds, time.perf_counter() - t0)
-    finally:
-        perf.configure(enabled=True)
+    kernel_seconds = np.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        (out,) = convolve_batch([(f, g)])
+        kernel_seconds = min(kernel_seconds, time.perf_counter() - t0)
 
     pts = np.linspace(0.0, float(oracle.breakpoints[-1]) * 1.5, 4_096)
     np.testing.assert_allclose(out(pts), oracle(pts), rtol=1e-12, atol=1e-12)
 
-    speedup = generic_seconds / soa_seconds
+    speedup = oracle_seconds / kernel_seconds
     _merge_report(
-        "general_backend",
+        "general_pair",
         {
-            "backend": soa.name,
             "segments": SEGMENTS,
-            "generic_seconds": generic_seconds,
-            "backend_seconds": soa_seconds,
+            "oracle_seconds": oracle_seconds,
+            "kernel_seconds": kernel_seconds,
             "speedup": speedup,
         },
     )
-    assert speedup >= 5.0, f"soa backend {speedup:.1f}x below the 5x gate"
+    assert speedup >= 5.0, f"generic kernel {speedup:.1f}x below the 5x gate"
 
 
 def test_batched_convolve_many_gate():
-    """``convolve_many`` on 32 distinct general pairs under the SoA
-    backend must be >= 2.5x faster than the per-pair reference loop."""
+    """``convolve_many`` on 32 distinct general pairs must be >= 2.5x
+    faster than a per-pair loop of the per-cell oracle."""
     rng = np.random.default_rng(99)
     pairs = [
         (_random_general(rng, 60), _random_general(rng, 60)) for _ in range(32)
     ]
 
-    perf.configure(enabled=False)  # no memoization: every pair is distinct
-    try:
-        t0 = time.perf_counter()
-        with use_backend("numpy"):
-            expected = convolve_many(pairs)
-        loop_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    expected = [convolve_generic(f, g) for f, g in pairs]
+    loop_seconds = time.perf_counter() - t0
 
+    perf.configure(enabled=False)  # no memoization: time every batch
+    try:
         batch_seconds = np.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            with use_backend("soa"):
-                got = convolve_many(pairs)
+            got = convolve_many(pairs)
             batch_seconds = min(batch_seconds, time.perf_counter() - t0)
     finally:
         perf.configure(enabled=True)
@@ -227,7 +221,6 @@ def test_batched_convolve_many_gate():
     _merge_report(
         "batched_convolve_many",
         {
-            "backend": "soa",
             "batch": len(pairs),
             "segments": 60,
             "loop_seconds": loop_seconds,

@@ -151,7 +151,7 @@ def validate_profile(path: Path) -> None:
         fail(f"{path}: profile carries neither a trace nor a metrics section")
     if "trace" in report:
         agg = report["trace"]
-        for section in ("spans", "backends", "shapes"):
+        for section in ("spans", "shapes"):
             group = agg.get(section)
             if not isinstance(group, dict):
                 fail(f"{path}: trace section {section!r} must be an object")
@@ -199,11 +199,8 @@ def validate_trajectory(path: Path) -> int:
         for name, value in metrics.items():
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 fail(f"{path}:{lineno}: metric {name!r} is not finite: {value!r}")
-        backends = record.get("backends")
-        if not isinstance(backends, dict) or not all(
-            isinstance(v, str) and v for v in backends.values()
-        ):
-            fail(f"{path}:{lineno}: backends must map sections to names")
+        # records from before the single min-plus kernel also carry a
+        # "backends" mapping; it is history, not checked
         env = record.get("env")
         if not isinstance(env, dict) or not env.get("python"):
             fail(f"{path}:{lineno}: env fingerprint missing python version")

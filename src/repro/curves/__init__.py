@@ -11,8 +11,8 @@ subpackage is a self-contained implementation of that substrate:
 * :mod:`~repro.curves.service` — full-processor, rate-latency, TDMA and
   fixed-priority remaining service;
 * :mod:`~repro.curves.minplus` — min-plus convolution / deconvolution;
-* :mod:`~repro.curves.backends` — pluggable generic-kernel backends
-  (numpy reference, batched SoA, optional numba JIT);
+* :mod:`~repro.curves.soa` — the generic min-plus kernel (batched
+  structure-of-arrays envelope construction);
 * :mod:`~repro.curves.compact` — conservative segment-budgeted compaction;
 * :mod:`~repro.curves.bounds` — backlog (eq. (6)), delay and output bounds;
 * :mod:`~repro.curves.shaper` — greedy shapers.
@@ -36,17 +36,6 @@ from repro.curves.minplus import (
     deconvolve_at,
     self_convolution_fixpoint,
     UnboundedCurveError,
-)
-from repro.curves.backends import (
-    KernelBackend,
-    BackendUnavailableError,
-    active_backend,
-    available_backends,
-    get_backend,
-    register_backend,
-    registered_backends,
-    set_backend,
-    use_backend,
 )
 from repro.curves.compact import CompactionResult, compact_lower, compact_upper
 from repro.curves.bounds import backlog_bound, delay_bound, output_arrival_curve, is_stable
@@ -80,15 +69,6 @@ __all__ = [
     "deconvolve_at",
     "self_convolution_fixpoint",
     "UnboundedCurveError",
-    "KernelBackend",
-    "BackendUnavailableError",
-    "active_backend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "registered_backends",
-    "set_backend",
-    "use_backend",
     "CompactionResult",
     "compact_upper",
     "compact_lower",

@@ -57,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.curves.curve import PiecewiseLinearCurve
-from repro.curves.minplus import _line_envelope_on_interval, _restamp
+from repro.curves.minplus import _restamp
+from repro.curves.soa import line_envelope
 from repro.obs.metrics import registry
 from repro.perf.cache import kernel_cache
 from repro.util.validation import ValidationError, check_integer
@@ -292,12 +293,9 @@ def _drop_lines(
         return gap if upper else -gap
 
     keep = _greedy_keep(x.size, cost, target, max_error)
-    segments = _line_envelope_on_interval(
-        v[keep], s[keep], 0.0, math.inf, lower=upper
-    )
-    xs = [seg[0] for seg in segments]
-    ys = [max(seg[1], 0.0) for seg in segments]
-    ss = [max(seg[2], 0.0) for seg in segments]
+    xs, ys, ss = line_envelope(v[keep], s[keep], lower=upper)
+    ys = np.maximum(ys, 0.0)
+    ss = np.maximum(ss, 0.0)
     return _restamp(PiecewiseLinearCurve(xs, ys, ss).simplified(), shape)
 
 

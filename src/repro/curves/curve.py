@@ -316,7 +316,10 @@ class PiecewiseLinearCurve:
         sf, sg = self.final_slope, other.final_slope
         if (fa - ga) * (sf - sg) < 0:
             cross = last + (ga - fa) / (sf - sg)
-            if cross > last:
+            # a subnormal slope difference puts the crossing at infinity:
+            # the curves then never cross, and the winner at `last` wins
+            # throughout
+            if last < cross < np.inf:
                 xs.add(float(cross))
         xall = np.array(sorted(xs))
         yall = op(self(xall), other(xall))

@@ -24,8 +24,9 @@ inner inf/sup is always attained at a breakpoint of ``f`` or a (shifted)
 breakpoint of ``g``; between two adjacent points of the breakpoint
 sum/difference set every such *configuration* is a straight line, so the
 result restricted to that interval is the lower (upper) envelope of a
-finite set of lines, which we compute with an exact envelope sweep —
-including the crossing breakpoints that do not belong to the sum set.
+finite set of lines, which the kernel computes with an exact envelope
+sweep — including the crossing breakpoints that do not belong to the sum
+set.
 
 Performance
 -----------
@@ -43,38 +44,31 @@ convexity/concavity classification (:attr:`~repro.curves.curve
 * **concave ⊘ convex** — a descending-slope merge walk in ``O(n + m)``:
   the inner objective ``f(Δ + u) − g(u)`` is concave in ``u``, so the
   supremum tracks a single slope-crossover point;
-* everything else falls back to the generic exact construction
-  (:func:`convolve_generic` / :func:`deconvolve_generic`), which is
-  ``O(n·m·(n+m))`` and kept as the oracle the fast paths are verified
-  against.
+* everything else goes to the one generic kernel, the batched
+  structure-of-arrays construction of :mod:`repro.curves.soa`
+  (``O(n·m·(n+m))`` work in a few dozen large array operations), which
+  also serves whole batches through :func:`repro.perf.batch.convolve_many`.
 
-The generic candidate-line construction and the envelope sweep are
-vectorized (per-interval batch numpy instead of per-breakpoint Python),
-and the full curve operators are memoized by operand content digest —
-with a structure tag in the key — through :mod:`repro.perf.cache`, so a
+The full curve operators are memoized by operand content digest — with a
+structure tag in the key — through :mod:`repro.perf.cache`, so a
 design-space sweep that re-convolves the same pair pays for the
-construction once.  The generic construction itself is *pluggable*: the
-dispatchers route generic-regime operands through the active
-:mod:`repro.curves.backends` backend (pure-numpy reference, batched SoA,
-or numba JIT), and the cache key of such operands carries the backend's
-compatibility tag so memoized results stay sound across backend
-switches; fast-path results are backend-independent and keep untagged
-keys.  Every kernel body reports call counts and timing
+construction once.  Every kernel body reports call counts and timing
 histograms into the :mod:`repro.obs` metrics registry and, when tracing
-is enabled, opens a span carrying the operand segment counts.  All paths
-are validated against the definitional brute-force implementations in
-:mod:`repro.reference` by the differential-oracle suite, and the fast
-paths additionally against the generic kernels by the structure property
-suite (``tests/curves/test_minplus_structure.py``).
+is enabled, opens a span carrying the operand sizes and shapes.  The
+generic kernel is held to the per-cell construction kept as an oracle in
+:mod:`repro.reference.generic` and to the definitional brute-force
+optimizers of :mod:`repro.reference` by the conformance suite
+(``tests/curves/test_backend_conformance.py``); the fast paths are held to
+the oracle by the structure property suite
+(``tests/curves/test_minplus_structure.py``).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.curves.curve import EPS_REL, PiecewiseLinearCurve
+from repro.curves.soa import convolve_batch, deconvolve_batch
 from repro.obs.metrics import counter
 from repro.perf.cache import kernel_cache
 from repro.perf.instrument import instrumented
@@ -85,8 +79,6 @@ __all__ = [
     "deconvolve",
     "convolve_at",
     "deconvolve_at",
-    "convolve_generic",
-    "deconvolve_generic",
     "self_convolution_fixpoint",
     "UnboundedCurveError",
 ]
@@ -98,6 +90,16 @@ class UnboundedCurveError(ValidationError):
     In analysis terms: the flow's long-term rate exceeds the long-term
     service rate, so no finite output bound/backlog exists.
     """
+
+
+def _check_stable(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> None:
+    """Raise :class:`UnboundedCurveError` when ``f ⊘ g`` diverges, i.e.
+    ``f``'s asymptotic rate exceeds ``g``'s (beyond a 1e-12 slack)."""
+    if f.final_slope > g.final_slope + 1e-12:
+        raise UnboundedCurveError(
+            f"deconvolution diverges: arrival rate {f.final_slope:g} exceeds "
+            f"service rate {g.final_slope:g}"
+        )
 
 
 def _eps_for(x: float) -> float:
@@ -137,11 +139,7 @@ def deconvolve_at(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve, delta: float
     """
     if delta < 0:
         raise ValidationError("delta must be >= 0")
-    if f.final_slope > g.final_slope + 1e-12:
-        raise UnboundedCurveError(
-            f"deconvolution diverges: arrival rate {f.final_slope:g} exceeds "
-            f"service rate {g.final_slope:g}"
-        )
+    _check_stable(f, g)
     cands: set[float] = {0.0}
     for xg in g.breakpoints:
         # probe just below a g-breakpoint: g's left limit is smaller when g
@@ -154,151 +152,6 @@ def deconvolve_at(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve, delta: float
             if u >= 0.0:
                 cands.add(u)
     return max(float(f(delta + u)) - _eval0(g, u) for u in cands)
-
-
-# ---------------------------------------------------------------------------
-# exact curve construction via per-interval line envelopes
-# ---------------------------------------------------------------------------
-
-class _CurveArrays:
-    """Unpacked curve data shared across all intervals of one construction.
-
-    Precomputes the per-breakpoint left limits (used by the jump probes)
-    so the per-interval line builders are pure array arithmetic.
-    """
-
-    __slots__ = ("x", "y", "s", "left")
-
-    def __init__(self, curve: PiecewiseLinearCurve):
-        self.x = curve.breakpoints
-        self.y = curve.values_at_breakpoints
-        self.s = curve.slopes
-        # left limit at each breakpoint; index 0 is never used (probes only
-        # exist for breakpoints > 0)
-        self.left = np.empty_like(self.y)
-        self.left[0] = self.y[0]
-        if self.x.size > 1:
-            self.left[1:] = self.y[:-1] + self.s[:-1] * np.diff(self.x)
-
-    def eval_at(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized right-continuous evaluation (t must be >= 0)."""
-        idx = np.searchsorted(self.x, t, side="right") - 1
-        return self.y[idx] + self.s[idx] * (t - self.x[idx])
-
-    def eval0_at(self, t: np.ndarray) -> np.ndarray:
-        """Evaluation under the min-plus ``f(0) = 0`` convention."""
-        return np.where(t == 0.0, 0.0, self.eval_at(t))
-
-    def slope_at(self, t: np.ndarray) -> np.ndarray:
-        """Segment slope in effect at each (right-continuous) point."""
-        return self.s[np.searchsorted(self.x, t, side="right") - 1]
-
-
-def _line_envelope_on_interval(
-    va: np.ndarray, sl: np.ndarray, a: float, b: float, *, lower: bool
-) -> list[tuple[float, float, float]]:
-    """Envelope of the lines ``value = va + sl·(Δ − a)`` on ``[a, b)``.
-
-    Returns segments ``(start, value_at_start, slope)`` covering ``[a, b)``
-    of the lower (``lower=True``) or upper envelope, exact crossings
-    included.  Fully vectorized: the winner selection and the first-crossing
-    search are single array reductions per emitted segment.
-    """
-    if va.size == 0:
-        raise ValidationError("envelope needs at least one line")
-    # dedup (value-at-a, slope) pairs; keeps the candidate set small
-    uniq = np.unique(np.column_stack((va, sl)), axis=0)
-    va, sl = uniq[:, 0], uniq[:, 1]
-    segments: list[tuple[float, float, float]] = []
-    x = a
-    max_segments = va.size + 2  # each crossing switches to a new line
-    while x < b - 1e-18 and len(segments) < max_segments:
-        v = va + sl * (x - a)
-        # winning line at x: extremal value, ties (within float noise)
-        # broken by slope — flattest wins for lower envelope, steepest for
-        # upper, so the chosen segment stays on the envelope just after x
-        if lower:
-            vbest = float(v.min())
-            near = np.flatnonzero(v <= vbest + 1e-12 + 1e-12 * abs(vbest))
-            j = near[np.argmin(sl[near])]
-        else:
-            vbest = float(v.max())
-            near = np.flatnonzero(v >= vbest - 1e-12 - 1e-12 * abs(vbest))
-            j = near[np.argmax(sl[near])]
-        best_val = float(v[j])
-        best_slope = float(sl[j])
-        # first crossing where another line overtakes the winner.
-        # near-parallel lines never produce a meaningful crossing; a
-        # denormal slope difference would yield a numerically garbage
-        # crossing abscissa, so treat it as parallel
-        rel = sl - best_slope
-        overtaking = np.abs(rel) > 1e-15 * np.maximum(
-            1.0, np.maximum(np.abs(sl), abs(best_slope))
-        )
-        overtaking &= (rel < 0) if lower else (rel > 0)
-        next_x = b
-        if np.any(overtaking):
-            t = (v[overtaking] - best_val) / (-rel[overtaking])
-            t = t[t > 1e-15]
-            if t.size and x + float(t.min()) < next_x:
-                next_x = x + float(t.min())
-        segments.append((x, best_val, best_slope))
-        if not math.isfinite(next_x):
-            break
-        x = next_x
-    return segments
-
-
-def _configuration_lines_convolve(
-    f: _CurveArrays, g: _CurveArrays, a: float, mid: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """All candidate lines for (f⊗g) on an interval with midpoint *mid*.
-
-    Configurations: ``s`` pinned at a breakpoint of f (line follows g), or
-    ``Δ − s`` pinned at a breakpoint of g (line follows f).  Only
-    configurations feasible throughout the interval contribute.  Returns
-    ``(value_at_a, slope)`` arrays.
-    """
-    vas: list[np.ndarray] = []
-    sls: list[np.ndarray] = []
-    half = mid - a
-
-    fsel = f.x <= a + 1e-15
-    if np.any(fsel):
-        s = f.x[fsel]
-        rest = mid - s
-        slope = g.slope_at(rest)
-        g_rest = g.eval0_at(rest)
-        f_at = np.where(s == 0.0, 0.0, f.y[fsel])
-        vas.append(f_at + g_rest - slope * half)
-        sls.append(slope)
-        # f is right-continuous: the inf can be approached with s just
-        # below the breakpoint, paying f's left limit (matters when f
-        # jumps, e.g. staircase arrival curves)
-        jump = s > 0.0
-        if np.any(jump):
-            vas.append(f.left[fsel][jump] + g_rest[jump] - slope[jump] * half)
-            sls.append(slope[jump])
-
-    gsel = g.x <= a + 1e-15
-    if np.any(gsel):
-        r = g.x[gsel]
-        s_mid = mid - r
-        slope = f.slope_at(s_mid)
-        f_smid = f.eval0_at(s_mid)
-        g_at = np.where(r == 0.0, 0.0, g.y[gsel])
-        vas.append(f_smid + g_at - slope * half)
-        sls.append(slope)
-        # likewise, Δ − s can sit just below a g-breakpoint, paying g's
-        # left limit
-        jump = r > 0.0
-        if np.any(jump):
-            vas.append(f_smid[jump] + g.left[gsel][jump] - slope[jump] * half)
-            sls.append(slope[jump])
-
-    if not vas:
-        return np.empty(0), np.empty(0)
-    return np.concatenate(vas), np.concatenate(sls)
 
 
 def _budget_compactors(
@@ -347,8 +200,8 @@ def convolve(
     Dispatches on the operands' cached structure classification
     (:attr:`~repro.curves.curve.PiecewiseLinearCurve.shape`):
     convex ⊗ convex and concave ⊗ concave take closed-form ``O(n + m)``
-    fast paths, everything else the generic ``O(n·m·(n+m))`` construction
-    (:func:`convolve_generic`) — for trace staircases with thousands of
+    fast paths, everything else the generic ``O(n·m·(n+m))`` kernel
+    (:mod:`repro.curves.soa`) — for trace staircases with thousands of
     jumps prefer :func:`convolve_at` on the Δ values you need.  Results
     are memoized by operand content digest plus a structure tag (see
     :mod:`repro.perf.cache`).
@@ -373,33 +226,27 @@ def convolve(
 
 def _is_generic_convolve_pair(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> bool:
     """Whether ``f ⊗ g`` misses every closed-form fast path and therefore
-    routes through the active generic-kernel backend."""
+    goes to the generic kernel."""
     return not (
         (f.is_convex and g.is_convex) or (f.is_concave and g.is_concave)
     )
 
 
 def _convolve_key(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> tuple:
-    """Cache key of ``f ⊗ g``; generic-regime pairs carry the active
-    backend's compatibility tag (fast-path results are backend-free)."""
-    key = (
+    """Cache key of ``f ⊗ g``."""
+    return (
         "minplus.convolve",
         f.shape + "*" + g.shape,
         f.content_digest(),
         g.content_digest(),
     )
-    if _is_generic_convolve_pair(f, g):
-        from repro.curves.backends import active_backend
-
-        key = key + ("backend:" + active_backend().compat_tag,)
-    return key
 
 
-def _count_dispatch(op: str, regime: str) -> None:
-    """Count one cache-missed dispatch decision (``minplus.dispatch``
+def _count_dispatch(op: str, regime: str, n: int = 1) -> None:
+    """Count *n* cache-missed dispatch decisions (``minplus.dispatch``
     with ``op``/``regime`` labels) — cache hits never reach a dispatcher,
     so summing the regimes of an op yields exactly its computed calls."""
-    counter("minplus.dispatch", op=op, regime=regime).inc()
+    counter("minplus.dispatch", op=op, regime=regime).inc(n)
 
 
 def _convolve_dispatch(
@@ -411,22 +258,8 @@ def _convolve_dispatch(
     if f.is_concave and g.is_concave:
         _count_dispatch("convolve", "concave_fast")
         return _convolve_concave(f, g)
-    from repro.curves.backends import active_backend
-
     _count_dispatch("convolve", "generic")
-    return active_backend().convolve(f, g)
-
-
-def convolve_generic(
-    f: PiecewiseLinearCurve, g: PiecewiseLinearCurve
-) -> PiecewiseLinearCurve:
-    """The generic exact convolution, bypassing structure dispatch and cache.
-
-    Kept public as the oracle of the structure property suite: the
-    closed-form fast paths must agree with this construction pointwise on
-    every operand pair.
-    """
-    return _convolve_impl(f, g)
+    return convolve_batch([(f, g)])[0]
 
 
 def _pair_attrs(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> dict:
@@ -440,12 +273,6 @@ def _pair_attrs(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> dict:
         "g_segments": int(g.breakpoints.size),
         "shape": f.shape + "|" + g.shape,
     }
-
-
-def _generic_attrs(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> dict:
-    """Span attributes of the reference generic kernel, tagged with its
-    backend name so traces show which backend computed each convolution."""
-    return {**_pair_attrs(f, g), "backend": "numpy"}
 
 
 def _restamp(out: PiecewiseLinearCurve, shape: str) -> PiecewiseLinearCurve:
@@ -501,74 +328,6 @@ def _convolve_concave(
     return _restamp(f.minimum(g), "concave")
 
 
-@instrumented("minplus.convolve", attrs=_generic_attrs)
-def _convolve_impl(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
-    fa = _CurveArrays(f)
-    ga = _CurveArrays(g)
-    grid = _dedupe_grid(
-        np.unique(np.add.outer(fa.x, ga.x).ravel())
-    )  # contains 0 (= x_f0 + x_g0)
-    xs: list[float] = []
-    ys: list[float] = []
-    ss: list[float] = []
-    final_slope = min(f.final_slope, g.final_slope)
-    n_grid = grid.size
-    for i in range(n_grid):
-        a = float(grid[i])
-        last = i + 1 >= n_grid
-        b = a + max(1.0, abs(a)) if last else float(grid[i + 1])
-        mid = 0.5 * (a + b)
-        va, sl = _configuration_lines_convolve(fa, ga, a, mid)
-        if last:
-            b = math.inf
-        # the envelope value at `a` is already the right limit: configurations
-        # feasible on [a, b) evaluated at a reproduce the RC value exactly
-        for start, val, slope in _line_envelope_on_interval(va, sl, a, b, lower=True):
-            xs.append(start)
-            ys.append(max(val, 0.0))
-            ss.append(max(slope, 0.0))
-    ss[-1] = max(final_slope, 0.0)
-    return _monotone_pwl(xs, ys, ss)
-
-
-def _configuration_lines_deconvolve(
-    f: _CurveArrays, g: _CurveArrays, a: float, mid: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate lines for (f⊘g) on an interval with midpoint *mid*.
-
-    Configurations: ``u`` pinned at a breakpoint of g (line follows f,
-    always feasible), or ``Δ + u`` pinned at a breakpoint of f (line slope
-    is g's local slope; feasible while ``x_f >= Δ``)."""
-    vas: list[np.ndarray] = []
-    sls: list[np.ndarray] = []
-    half = mid - a
-
-    u = g.x
-    slope = f.slope_at(mid + u)
-    f_shift = f.eval_at(mid + u)
-    g_at = np.where(u == 0.0, 0.0, g.y)
-    vas.append(f_shift - g_at - slope * half)
-    sls.append(slope)
-    # probe just below a g-jump: g's left limit is smaller, which can
-    # only increase the supremum (f changes only infinitesimally there
-    # unless Δ+u hits an f-breakpoint, which is a grid point)
-    jump = u > 0.0
-    if np.any(jump):
-        vas.append(f_shift[jump] - g.left[jump] - slope[jump] * half)
-        sls.append(slope[jump])
-
-    fsel = f.x >= mid  # u = t − Δ stays >= 0 around the midpoint
-    if np.any(fsel):
-        t = f.x[fsel]
-        u_mid = t - mid
-        slope = g.slope_at(u_mid)
-        g_umid = np.where(u_mid == 0.0, 0.0, g.eval_at(u_mid))
-        vas.append(f.y[fsel] - g_umid - slope * half)
-        sls.append(slope)
-
-    return np.concatenate(vas), np.concatenate(sls)
-
-
 def deconvolve(
     f: PiecewiseLinearCurve,
     g: PiecewiseLinearCurve,
@@ -584,7 +343,7 @@ def deconvolve(
     Dispatches on operand structure: concave ``f`` over convex ``g`` (the
     dominant case — measured arrival envelope over rate-latency service)
     takes a closed-form ``O(n + m)`` walk, everything else the generic
-    construction (:func:`deconvolve_generic`).  Raises
+    kernel (:mod:`repro.curves.soa`).  Raises
     :class:`UnboundedCurveError` when the result is infinite.  Results are
     memoized by operand content digest plus a structure tag.
 
@@ -599,38 +358,14 @@ def deconvolve(
         same, other, run = budget
         out = deconvolve(run(same, f), run(other, g))
         return run(same, out)
-    if f.final_slope > g.final_slope + 1e-12:
-        raise UnboundedCurveError(
-            f"deconvolution diverges: arrival rate {f.final_slope:g} exceeds "
-            f"service rate {g.final_slope:g}"
-        )
-    return kernel_cache.get_or_compute(
-        _deconvolve_key(f, g), lambda: _deconvolve_dispatch(f, g)
-    )
-
-
-def _is_generic_deconvolve_pair(
-    f: PiecewiseLinearCurve, g: PiecewiseLinearCurve
-) -> bool:
-    """Whether ``f ⊘ g`` misses the concave-over-convex fast path and
-    therefore routes through the active generic-kernel backend."""
-    return not (f.is_concave and g.is_convex and f.final_slope <= g.final_slope)
-
-
-def _deconvolve_key(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> tuple:
-    """Cache key of ``f ⊘ g``; generic-regime pairs carry the active
-    backend's compatibility tag (fast-path results are backend-free)."""
+    _check_stable(f, g)
     key = (
         "minplus.deconvolve",
         f.shape + "/" + g.shape,
         f.content_digest(),
         g.content_digest(),
     )
-    if _is_generic_deconvolve_pair(f, g):
-        from repro.curves.backends import active_backend
-
-        key = key + ("backend:" + active_backend().compat_tag,)
-    return key
+    return kernel_cache.get_or_compute(key, lambda: _deconvolve_dispatch(f, g))
 
 
 def _deconvolve_dispatch(
@@ -643,27 +378,8 @@ def _deconvolve_dispatch(
     if f.is_concave and g.is_convex and f.final_slope <= g.final_slope:
         _count_dispatch("deconvolve", "concave_convex_fast")
         return _deconvolve_concave_convex(f, g)
-    from repro.curves.backends import active_backend
-
     _count_dispatch("deconvolve", "generic")
-    return active_backend().deconvolve(f, g)
-
-
-def deconvolve_generic(
-    f: PiecewiseLinearCurve, g: PiecewiseLinearCurve
-) -> PiecewiseLinearCurve:
-    """The generic exact deconvolution, bypassing structure dispatch and
-    cache.
-
-    Kept public as the oracle of the structure property suite.  Raises
-    :class:`UnboundedCurveError` when the result is infinite.
-    """
-    if f.final_slope > g.final_slope + 1e-12:
-        raise UnboundedCurveError(
-            f"deconvolution diverges: arrival rate {f.final_slope:g} exceeds "
-            f"service rate {g.final_slope:g}"
-        )
-    return _deconvolve_impl(f, g)
+    return deconvolve_batch([(f, g)])[0]
 
 
 @instrumented("minplus.deconvolve_concave", attrs=_pair_attrs)
@@ -715,70 +431,6 @@ def _deconvolve_concave_convex(
     ys = r0 + np.concatenate(([0.0], np.cumsum(lengths * slopes)))
     ss = np.concatenate((slopes, [final]))
     return _restamp(PiecewiseLinearCurve(xs, ys, ss).simplified(), "concave")
-
-
-@instrumented("minplus.deconvolve", attrs=_generic_attrs)
-def _deconvolve_impl(f: PiecewiseLinearCurve, g: PiecewiseLinearCurve) -> PiecewiseLinearCurve:
-    fa = _CurveArrays(f)
-    ga = _CurveArrays(g)
-    diffs = np.unique(np.subtract.outer(fa.x, ga.x).ravel())
-    grid = _dedupe_grid(diffs[diffs >= 0.0])
-    if grid.size == 0 or grid[0] != 0.0:
-        grid = np.concatenate(([0.0], grid))
-    xs: list[float] = []
-    ys: list[float] = []
-    ss: list[float] = []
-    n_grid = grid.size
-    for i in range(n_grid):
-        a = float(grid[i])
-        last = i + 1 >= n_grid
-        b = a + max(1.0, abs(a)) if last else float(grid[i + 1])
-        mid = 0.5 * (a + b)
-        va, sl = _configuration_lines_deconvolve(fa, ga, a, mid)
-        if last:
-            b = math.inf
-        for start, val, slope in _line_envelope_on_interval(va, sl, a, b, lower=False):
-            xs.append(start)
-            ys.append(max(val, 0.0))
-            ss.append(max(slope, 0.0))
-    ss[-1] = max(f.final_slope, 0.0)
-    return _monotone_pwl(xs, ys, ss)
-
-
-def _dedupe_grid(grid: np.ndarray) -> np.ndarray:
-    """Collapse near-duplicate cell boundaries of an outer-sum grid.
-
-    Breakpoint sums/differences that coincide mathematically can differ by
-    a few ulps in float arithmetic, leaving sliver cells (width ~1e-16)
-    whose midpoint configuration selection is numerically meaningless —
-    the emitted envelope piece can be arbitrarily wrong.  Such cells carry
-    no information (the function is a point there), so boundaries closer
-    than 1e-12 relative are merged into one.
-    """
-    if grid.size <= 1:
-        return grid
-    keep = np.concatenate(
-        ([True], np.diff(grid) > 1e-12 * np.maximum(1.0, np.abs(grid[1:])))
-    )
-    return grid[keep]
-
-
-def _monotone_pwl(xs: list[float], ys: list[float], ss: list[float]) -> PiecewiseLinearCurve:
-    """Assemble a PWL curve, snapping tiny numerical dips to monotone.
-
-    Dips below a previous segment's left limit of relative size up to 1e-6
-    are attributed to floating-point noise in the envelope sweep and snapped
-    up; anything larger would indicate a logic error and is surfaced by the
-    :class:`PiecewiseLinearCurve` constructor.
-    """
-    x = np.array(xs)
-    y = np.array(ys)
-    s = np.array(ss)
-    for i in range(1, x.size):
-        left = y[i - 1] + s[i - 1] * (x[i] - x[i - 1])
-        if y[i] < left and (left - y[i]) <= 1e-6 * max(1.0, abs(left)):
-            y[i] = left
-    return PiecewiseLinearCurve(x, y, s).simplified()
 
 
 def self_convolution_fixpoint(

@@ -1,34 +1,36 @@
-"""Batched structure-of-arrays min-plus kernels.
+"""The generic min-plus kernel: a batched structure-of-arrays construction.
 
-The generic construction in :mod:`repro.curves.minplus` walks the
-outer-sum breakpoint grid one cell at a time, building the candidate
-configuration lines and sweeping their envelope with a handful of numpy
-calls *per cell* — thousands of tiny array operations for a 200-segment
-pair.  This module performs the identical construction as a few dozen
-large array operations: the operand curves of a whole batch are packed
-into shared padded (structure-of-arrays) matrices, every envelope cell of
-every pair becomes one row of a candidate-line matrix, and the winner
-selection / first-crossing search run as row-wise reductions over all
-active cells simultaneously.
+Min-plus convolution and deconvolution of general PWL curves (those that
+miss the closed-form fast paths of :mod:`repro.curves.minplus`) are built
+exactly: between two adjacent points of the breakpoint sum/difference grid
+every optimizer configuration is a straight line, so the result on each
+grid cell is the lower (upper) envelope of a finite set of candidate
+lines.  This module performs that construction as a few dozen large array
+operations: the operand curves of a whole batch are packed into shared
+padded (structure-of-arrays) matrices, every envelope cell of every pair
+becomes one row of a candidate-line matrix, and the winner selection /
+first-crossing search run as row-wise reductions over all active cells
+simultaneously.
 
 Exactness
 ---------
-The kernel replicates the reference construction decision-for-decision:
+Per cell, the kernel makes the decisions of the per-cell definition kept
+as the test oracle in :mod:`repro.reference.generic`:
 
-* the same :func:`~repro.curves.minplus._dedupe_grid`-collapsed cell
-  grids, the same synthetic last cell, the same midpoint probes;
+* the same :func:`_dedupe_grid`-collapsed cell grids, the same synthetic
+  last cell, the same midpoint probes;
 * the same candidate lines (breakpoint-pinned configurations plus the
   left-limit jump probes), built from the same float expressions;
-* the same envelope tie-breaking — extremal value with ties within
-  ``1e-12`` relative broken by flattest (lower) / steepest (upper) slope
-  and then by smallest value, the ordering ``np.unique`` induces in the
-  reference sweep — and the same ``1e-15`` crossing thresholds.
+* the same envelope tie-breaking — extremal value with ties within the
+  :data:`VALUE_TIE_REL` band broken by flattest (lower) / steepest (upper)
+  slope and then by smallest value — and the same ``1e-15`` crossing
+  thresholds.
 
 Infeasible / padded candidate entries are masked with a large finite
 sentinel (``±1e300``) on the losing side of the envelope instead of
-``inf`` so the line arithmetic never produces NaNs.  The differential
-conformance suite (``tests/curves/test_backend_conformance.py``) pins the
-agreement with the reference kernel and the brute-force oracles.
+``inf`` so the line arithmetic never produces NaNs.  The conformance suite
+(``tests/curves/test_backend_conformance.py``) pins the agreement with the
+oracle and with the brute-force optimizers of :mod:`repro.reference`.
 
 Batch contract
 --------------
@@ -37,9 +39,10 @@ pair's result saturates (``min(f.final_slope, g.final_slope) == 0`` — a
 finite asymptote) or every pair's result grows without bound.  The packed
 sweep stamps the shared synthetic last cell and the tail slope uniformly
 per batch, so mixed batches are refused with a
-:class:`~repro.util.validation.ValidationError`; callers
-(:func:`repro.perf.batch.convolve_many`) partition by tail regime and
-fall back per-partition, never globally.
+:class:`~repro.util.validation.ValidationError`;
+:func:`repro.perf.batch.convolve_many` partitions by tail regime.
+Deconvolution batches must be stable (``f`` not outgrowing ``g``); the
+check lives in :func:`repro.curves.minplus.deconvolve`.
 """
 
 from __future__ import annotations
@@ -50,15 +53,20 @@ from typing import Sequence
 import numpy as np
 
 from repro.curves.curve import PiecewiseLinearCurve
-from repro.curves.minplus import (
-    UnboundedCurveError,
-    _dedupe_grid,
-    _monotone_pwl,
-)
 from repro.perf.instrument import instrumented
 from repro.util.validation import ValidationError
 
-__all__ = ["convolve_batch_soa", "deconvolve_batch_soa"]
+__all__ = ["convolve_batch", "deconvolve_batch", "VALUE_TIE_REL"]
+
+#: Relative width of the value-tie band of the envelope sweep.  Candidate
+#: lines within ``VALUE_TIE_REL · (1 + |v| + |Δ|·S)`` of the extremal value
+#: ``v`` at abscissa ``Δ`` count as tied, where ``S`` is the steepest
+#: candidate slope of the cell: a line value is assembled from terms as
+#: large as ``slope · Δ``, so its rounding noise scales with them, not with
+#: ``v`` (a TDMA pair with slopes ~7e8 at Δ ~ 1e-3 carries ~1e-10 of noise
+#: on values near 0).  Ties go to the line that stays extremal just after
+#: ``Δ``; erring this way moves the envelope by at most the band.
+VALUE_TIE_REL = 1e-12
 
 #: Sentinel for masked candidate lines: large but finite, so envelope
 #: arithmetic stays NaN-free while the entry can never win or overtake.
@@ -75,6 +83,42 @@ _FEAS_LIMIT = 1e250
 
 #: Target element count of one candidate-matrix chunk (cells × lines).
 _CHUNK_ELEMS = 1 << 21
+
+
+def _dedupe_grid(grid: np.ndarray) -> np.ndarray:
+    """Collapse near-duplicate cell boundaries of an outer-sum grid.
+
+    Breakpoint sums/differences that coincide mathematically can differ by
+    a few ulps in float arithmetic, leaving sliver cells (width ~1e-16)
+    whose midpoint configuration selection is numerically meaningless —
+    the emitted envelope piece can be arbitrarily wrong.  Such cells carry
+    no information (the function is a point there), so boundaries closer
+    than 1e-12 relative are merged into one.
+    """
+    if grid.size <= 1:
+        return grid
+    keep = np.concatenate(
+        ([True], np.diff(grid) > 1e-12 * np.maximum(1.0, np.abs(grid[1:])))
+    )
+    return grid[keep]
+
+
+def _monotone_pwl(xs, ys, ss) -> PiecewiseLinearCurve:
+    """Assemble a PWL curve, snapping tiny numerical dips to monotone.
+
+    Dips below a previous segment's left limit of relative size up to 1e-6
+    are attributed to floating-point noise in the envelope sweep and snapped
+    up; anything larger would indicate a logic error and is surfaced by the
+    :class:`PiecewiseLinearCurve` constructor.
+    """
+    x = np.array(xs)
+    y = np.array(ys)
+    s = np.array(ss)
+    for i in range(1, x.size):
+        left = y[i - 1] + s[i - 1] * (x[i] - x[i - 1])
+        if y[i] < left and (left - y[i]) <= 1e-6 * max(1.0, abs(left)):
+            y[i] = left
+    return PiecewiseLinearCurve(x, y, s).simplified()
 
 
 class _CurvePack:
@@ -132,7 +176,7 @@ def _build_cells(grids: list[np.ndarray]):
 
     Returns ``(pid, a, mid, bcap)``: the owning pair, the cell start, the
     midpoint probe, and the sweep cap (``inf`` for each pair's synthetic
-    last cell) — exactly the values the reference per-cell loop derives.
+    last cell) — exactly the values the oracle's per-cell loop derives.
     """
     pids: list[np.ndarray] = []
     a_parts: list[np.ndarray] = []
@@ -165,17 +209,21 @@ def _envelope_sweep(va, sl, nvalid, a, bcap, *, lower):
     ``value = va + sl·(Δ − a[c])`` of one cell; masked entries carry
     ``+_BIG`` (lower) / ``-_BIG`` (upper).  Returns flat
     ``(cell, x, value, slope)`` arrays of the emitted segments, sorted by
-    cell with each cell's segments in sweep order — the reference
-    :func:`~repro.curves.minplus._line_envelope_on_interval` replayed for
-    every row simultaneously.
+    cell with each cell's segments in sweep order — the per-cell oracle
+    sweep of :mod:`repro.reference.generic` replayed for every row
+    simultaneously.
     """
     n_cells = a.size
     maxseg = nvalid + 2
     x = a.copy()
     emitted = np.zeros(n_cells, dtype=np.intp)
     active = np.arange(n_cells)
-    # per-line constants, hoisted out of the sweep rounds
+    # per-line and per-cell constants, hoisted out of the sweep rounds:
+    # the steepest feasible slope scales each cell's value-tie band
     m1 = np.maximum(1.0, np.abs(sl))
+    steepest = np.max(
+        np.abs(sl), axis=1, where=np.abs(va) < _FEAS_LIMIT, initial=0.0
+    )
     out_cell: list[np.ndarray] = []
     out_x: list[np.ndarray] = []
     out_v: list[np.ndarray] = []
@@ -191,12 +239,12 @@ def _envelope_sweep(va, sl, nvalid, a, bcap, *, lower):
         # with several near-extremal lines
         if lower:
             vbest = v.min(axis=1)
-            tol = 1e-12 + 1e-12 * np.abs(vbest)
+            tol = VALUE_TIE_REL * (1.0 + np.abs(vbest) + np.abs(xa) * steepest)
             near = v <= (vbest + tol)[:, None]
             win = v.argmin(axis=1)
         else:
             vbest = v.max(axis=1)
-            tol = 1e-12 + 1e-12 * np.abs(vbest)
+            tol = VALUE_TIE_REL * (1.0 + np.abs(vbest) + np.abs(xa) * steepest)
             near = v >= (vbest - tol)[:, None]
             win = v.argmax(axis=1)
         rows = np.arange(active.size)
@@ -264,6 +312,7 @@ def _envelope_sweep(va, sl, nvalid, a, bcap, *, lower):
         va = va[keep]
         sl = sl[keep]
         m1 = m1[keep]
+        steepest = steepest[keep]
     cell = np.concatenate(out_cell)
     order = np.argsort(cell, kind="stable")
     return (
@@ -274,10 +323,25 @@ def _envelope_sweep(va, sl, nvalid, a, bcap, *, lower):
     )
 
 
+def line_envelope(va, sl, *, lower: bool):
+    """Lower (``lower=True``) or upper envelope of the lines
+    ``value = va + sl·Δ`` on ``[0, ∞)``, exact crossings included.
+
+    Returns ``(x, value, slope)`` arrays of the envelope's segments in
+    order — the one-cell case of the kernel's sweep (used by
+    :mod:`repro.curves.compact` for tangent envelopes).
+    """
+    va = np.asarray(va, dtype=float)[None, :]
+    sl = np.asarray(sl, dtype=float)[None, :]
+    _, x, v, s = _envelope_sweep(
+        va, sl, np.array([va.shape[1]]), np.zeros(1), np.array([math.inf]), lower=lower
+    )
+    return x, v, s
+
+
 def _assemble(pairs, cell_pid, seg_cell, seg_x, seg_v, seg_s, finals):
     """Split the flat segment stream per pair and build the result curves
-    exactly like the reference assembly (clamps, tail restamp,
-    :func:`~repro.curves.minplus._monotone_pwl`)."""
+    (value/slope clamps at 0, tail restamp, :func:`_monotone_pwl`)."""
     seg_pid = cell_pid[seg_cell]
     bounds = np.searchsorted(seg_pid, np.arange(len(pairs) + 1))
     out: list[PiecewiseLinearCurve] = []
@@ -298,11 +362,16 @@ def _chunks(cell_count: int, line_width: int):
         yield lo, min(lo + step, cell_count)
 
 
-@instrumented(
-    "minplus.convolve_batch_soa",
-    attrs=lambda pairs: {"pairs": len(pairs), "backend": "soa"},
-)
-def convolve_batch_soa(
+def _batch_attrs(pairs) -> dict:
+    """Span attributes of a kernel call (only built while tracing): the
+    batch size and the operands' structure classification pair, which
+    the profiler (:mod:`repro.obs.profile`) breaks self time down by."""
+    shapes = {f.shape + "|" + g.shape for f, g in pairs}
+    return {"pairs": len(pairs), "shape": shapes.pop() if len(shapes) == 1 else "mixed"}
+
+
+@instrumented("minplus.convolve", attrs=_batch_attrs)
+def convolve_batch(
     pairs: Sequence[tuple[PiecewiseLinearCurve, PiecewiseLinearCurve]]
 ) -> list[PiecewiseLinearCurve]:
     """Min-plus convolution of every pair through one packed sweep.
@@ -319,7 +388,7 @@ def convolve_batch_soa(
     saturating = {final == 0.0 for final in finals}
     if len(saturating) > 1:
         raise ValidationError(
-            "convolve_batch_soa needs a tail-homogeneous batch (all finite "
+            "convolve_batch needs a tail-homogeneous batch (all finite "
             "or all infinite asymptotes); partition by tail regime first"
         )
     fpack = _CurvePack([f for f, _ in pairs])
@@ -347,7 +416,7 @@ def convolve_batch_soa(
 
         # the interval midpoint clears the cell start by at least half the
         # _dedupe_grid-guaranteed cell width, so the pinned remainders
-        # (mid - s) are strictly positive and the reference's t == 0
+        # (mid - s) are strictly positive and the oracle's t == 0
         # evaluation guard can never fire — it is elided here.
         # the _BIG sentinel is folded into the pinned-value term of every
         # infeasible entry, so the line arithmetic itself produces ~_BIG
@@ -366,7 +435,7 @@ def convolve_batch_soa(
         va_f = f_at + g_val0 - g_slope * half
         # left-limit probes only matter where the curve actually jumps;
         # at continuous breakpoints they duplicate the base line exactly,
-        # and the reference's np.unique dedup discards such duplicates, so
+        # and the oracle's np.unique dedup discards such duplicates, so
         # compressing those columns away preserves bit-parity
         jump_f = feas_f & (fx > 0.0) & (fleft != fy)
         jcols_f = np.flatnonzero(jump_f.any(axis=0))
@@ -417,28 +486,19 @@ def convolve_batch_soa(
     return _assemble(pairs, cell_pid, seg_cell, seg_x, seg_v, seg_s, finals)
 
 
-@instrumented(
-    "minplus.deconvolve_batch_soa",
-    attrs=lambda pairs: {"pairs": len(pairs), "backend": "soa"},
-)
-def deconvolve_batch_soa(
+@instrumented("minplus.deconvolve", attrs=_batch_attrs)
+def deconvolve_batch(
     pairs: Sequence[tuple[PiecewiseLinearCurve, PiecewiseLinearCurve]]
 ) -> list[PiecewiseLinearCurve]:
     """Min-plus deconvolution of every pair through one packed sweep.
 
-    Raises :class:`~repro.curves.minplus.UnboundedCurveError` if any pair
-    diverges (``f`` outgrowing ``g``) — divergent pairs must be filtered
-    before batching, exactly as the scalar operator rejects them.
+    Every pair must be stable (``f`` not outgrowing ``g``); the public
+    operator :func:`repro.curves.minplus.deconvolve` rejects divergent
+    pairs before they reach the kernel.
     """
     pairs = list(pairs)
     if not pairs:
         return []
-    for f, g in pairs:
-        if f.final_slope > g.final_slope + 1e-12:
-            raise UnboundedCurveError(
-                f"deconvolution diverges: arrival rate {f.final_slope:g} "
-                f"exceeds service rate {g.final_slope:g}"
-            )
     finals = [f.final_slope for f, _ in pairs]
     fpack = _CurvePack([f for f, _ in pairs])
     gpack = _CurvePack([g for _, g in pairs])

@@ -8,13 +8,12 @@ investigation actually asks:
 
 * **Where did the time go?** — :func:`aggregate_spans` computes per-span
   -name *self time* (duration minus direct children), call counts, and
-  min/max, plus breakdowns by the ``backend`` and ``shape`` span
-  attributes the min-plus kernels attach;
+  min/max, plus a breakdown by the ``shape`` span attribute the min-plus
+  kernels attach;
 * **Which dispatch regime ran?** — :func:`dispatch_breakdown` reads the
   ``minplus.dispatch{op, regime}`` counters (convex/concave closed
-  forms vs the generic backend), the per-backend call counters, the
-  compaction counters, and the batch-fallback rate out of a metrics
-  snapshot;
+  forms vs the generic kernel) and the compaction counters out of a
+  metrics snapshot;
 * **How healthy is the cache?** — :func:`cache_tiers` splits every
   memoized lookup into the ``memory`` / ``disk`` / ``miss`` tiers, which
   by construction sum to the total lookups;
@@ -97,7 +96,7 @@ def _fold(row: dict[str, Any], dur: float, self_s: float, unfinished: bool) -> N
 
 
 def aggregate_spans(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
-    """Fold span *records* into per-name / per-backend / per-shape rows.
+    """Fold span *records* into per-name / per-shape rows.
 
     *Self time* of a span is its duration minus the summed durations of
     its **direct** children, clamped at zero (an ``unfinished`` parent
@@ -105,13 +104,13 @@ def aggregate_spans(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
     ``calls``, ``total_s``, ``self_s``, ``min_s``/``max_s`` per call, and
     the count of ``unfinished`` spans folded in.  Returns::
 
-        {"spans": {name: row}, "backends": {backend: row},
-         "shapes": {shape: row}, "total_self_s": float, "span_count": int}
+        {"spans": {name: row}, "shapes": {shape: row},
+         "total_self_s": float, "span_count": int}
 
-    The ``backends``/``shapes`` breakdowns group the same rows by the
-    ``backend`` / ``shape`` span attributes (spans without the attribute
-    are skipped), so "how much self time went to the SoA kernel" falls
-    out without re-instrumenting anything.
+    The ``shapes`` breakdown groups the same rows by the ``shape`` span
+    attribute (spans without it are skipped), so "how much self time went
+    to general-curve operands" falls out without re-instrumenting
+    anything.
     """
     records = list(records)
     child_time: dict[Any, float] = {}
@@ -120,7 +119,6 @@ def aggregate_spans(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
         if parent is not None:
             child_time[parent] = child_time.get(parent, 0.0) + float(r["dur"])
     by_name: dict[str, dict[str, Any]] = {}
-    by_backend: dict[str, dict[str, Any]] = {}
     by_shape: dict[str, dict[str, Any]] = {}
     total_self = 0.0
     for r in records:
@@ -129,23 +127,13 @@ def aggregate_spans(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
         unfinished = bool(r.get("unfinished"))
         total_self += self_s
         _fold(by_name.setdefault(r["name"], _new_row()), dur, self_s, unfinished)
-        attrs = r.get("attrs") or {}
-        backend = attrs.get("backend")
-        if backend is not None:
-            _fold(
-                by_backend.setdefault(str(backend), _new_row()),
-                dur,
-                self_s,
-                unfinished,
-            )
-        shape = attrs.get("shape")
+        shape = (r.get("attrs") or {}).get("shape")
         if shape is not None:
             _fold(
                 by_shape.setdefault(str(shape), _new_row()), dur, self_s, unfinished
             )
     return {
         "spans": dict(sorted(by_name.items())),
-        "backends": dict(sorted(by_backend.items())),
         "shapes": dict(sorted(by_shape.items())),
         "total_self_s": total_self,
         "span_count": len(records),
@@ -299,10 +287,8 @@ def dispatch_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
     """Kernel dispatch-regime accounting out of a metrics *snapshot*.
 
     Returns, per curve operator, how many cache-missed dispatches took
-    each regime (``minplus.dispatch{op, regime}``), the per-backend
-    generic-kernel call counts (``minplus.backend.calls``), compaction
-    activity, and the batched-path fallback rate
-    (``minplus.batch.fallback`` over the backends' batch calls).
+    each regime (``minplus.dispatch{op, regime}``), compaction activity,
+    and the min-plus memo hit/miss totals.
     """
     regimes: dict[str, dict[str, int | float]] = {}
     for entry in snapshot.get("counters", ()):
@@ -312,18 +298,6 @@ def dispatch_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
         regime = str(entry["labels"].get("regime"))
         per_op = regimes.setdefault(op, {})
         per_op[regime] = per_op.get(regime, 0) + entry["value"]
-    backend_calls = {}
-    for entry in snapshot.get("counters", ()):
-        if entry["name"] != "minplus.backend.calls":
-            continue
-        backend = str(entry["labels"].get("backend"))
-        op = str(entry["labels"].get("op"))
-        per = backend_calls.setdefault(backend, {})
-        per[op] = per.get(op, 0) + entry["value"]
-    batch_calls = sum(
-        per.get("convolve_batch", 0) for per in backend_calls.values()
-    )
-    fallbacks = _sum_counters(snapshot, "minplus.batch.fallback")
     memo_hits: int | float = 0
     memo_misses: int | float = 0
     for entry in snapshot.get("counters", ()):
@@ -334,16 +308,10 @@ def dispatch_breakdown(snapshot: dict[str, Any]) -> dict[str, Any]:
                 memo_misses += entry["value"]
     return {
         "regimes": {op: dict(sorted(r.items())) for op, r in sorted(regimes.items())},
-        "backend_calls": {b: dict(sorted(p.items())) for b, p in sorted(backend_calls.items())},
         "compaction": {
             "calls": _sum_counters(snapshot, "compact.calls"),
             "noops": _sum_counters(snapshot, "compact.noop"),
             "segments_dropped": _sum_counters(snapshot, "compact.segments_dropped"),
-        },
-        "batch": {
-            "calls": batch_calls,
-            "fallbacks": fallbacks,
-            "fallback_rate": (fallbacks / batch_calls) if batch_calls else 0.0,
         },
         # cache traffic scoped to the min-plus kernels (``cache.op.*`` with
         # a ``minplus.*`` op): absent disk promotions, every memo miss runs

@@ -7,10 +7,9 @@ generous fixed threshold) goes unnoticed.  This module gives every
 benchmark run a durable footprint:
 
 * :func:`build_record` flattens the current ``BENCH_*.json`` documents
-  into one flat ``metrics`` mapping (``minplus.general_backend.speedup``
-  style dotted keys), records which backend produced each section, and
-  stamps an environment fingerprint (:func:`env_fingerprint`: python /
-  numpy / numba versions, CPU count, platform, best-effort git sha);
+  into one flat ``metrics`` mapping (``minplus.general_pair.speedup``
+  style dotted keys) and stamps an environment fingerprint (:func:`env_fingerprint`: python /
+  numpy versions, CPU count, platform, best-effort git sha);
 * :func:`append_record` appends it to ``benchmarks/TRAJECTORY.jsonl``
   (schema ``repro.trajectory/1``, one JSON object per line, append-only
   — history is never rewritten);
@@ -105,36 +104,27 @@ def env_fingerprint() -> dict[str, Any]:
     return {
         "python": platform.python_version(),
         "numpy": _version("numpy"),
-        "numba": _version("numba"),
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "git_sha": sha,
     }
 
 
-def flatten_bench(
-    name: str, report: dict[str, Any]
-) -> tuple[dict[str, float], dict[str, str]]:
-    """Flatten one BENCH document into ``(metrics, backends)``.
+def flatten_bench(name: str, report: dict[str, Any]) -> dict[str, float]:
+    """Flatten one BENCH document into dotted metrics.
 
-    ``BENCH_minplus.json``'s ``{"general_backend": {"speedup": 7.8,
-    "backend": "soa"}}`` becomes the metric
-    ``minplus.general_backend.speedup = 7.8`` and the backend entry
-    ``minplus.general_backend = "soa"``.  Only numeric leaves become
-    metrics (booleans excluded); the ``backend`` field of a section is
-    lifted into the backends mapping instead.
+    ``BENCH_minplus.json``'s ``{"general_pair": {"speedup": 7.8}}``
+    becomes the metric ``minplus.general_pair.speedup = 7.8``.  Only
+    numeric leaves become metrics (booleans and strings excluded).
     """
     metrics: dict[str, float] = {}
-    backends: dict[str, str] = {}
     for section, payload in report.items():
         if not isinstance(payload, dict):
             continue
         for key, value in payload.items():
-            if key == "backend" and isinstance(value, str):
-                backends[f"{name}.{section}"] = value
-            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
                 metrics[f"{name}.{section}.{key}"] = float(value)
-    return metrics, backends
+    return metrics
 
 
 def build_record(
@@ -148,26 +138,23 @@ def build_record(
     The record carries the schema tag, an optional *run_id* (CI job id,
     PR number, ...), an optional ISO *timestamp* (callers stamp it; this
     module never reads the clock so record-building stays deterministic
-    under test), the flat ``metrics`` and per-section ``backends``
-    mappings, and the :func:`env_fingerprint`.
+    under test), the flat ``metrics`` mapping, and the
+    :func:`env_fingerprint`.  Records written before the single min-plus
+    kernel also carry a ``backends`` mapping; readers ignore it.
     """
     metrics: dict[str, float] = {}
-    backends: dict[str, str] = {}
     for entry in sorted(os.listdir(bench_dir)):
         if not (entry.startswith("BENCH_") and entry.endswith(".json")):
             continue
         with open(os.path.join(bench_dir, entry), "r", encoding="utf-8") as fh:
             report = json.load(fh)
         name = entry[len("BENCH_") : -len(".json")]
-        m, b = flatten_bench(name, report)
-        metrics.update(m)
-        backends.update(b)
+        metrics.update(flatten_bench(name, report))
     return {
         "schema": TRAJECTORY_SCHEMA,
         "run_id": run_id,
         "timestamp": timestamp,
         "metrics": dict(sorted(metrics.items())),
-        "backends": dict(sorted(backends.items())),
         "env": env_fingerprint(),
     }
 

@@ -13,15 +13,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.curves.backends import active_backend
 from repro.curves.curve import PiecewiseLinearCurve
 from repro.curves.minplus import (
     _convolve_key,
+    _count_dispatch,
     _is_generic_convolve_pair,
     convolve,
     deconvolve,
 )
-from repro.obs.metrics import registry as _metrics
+from repro.curves.soa import convolve_batch
 from repro.perf.cache import kernel_cache
 from repro.perf.instrument import instrumented
 from repro.util.validation import ValidationError
@@ -37,18 +37,16 @@ def convolve_many(pairs: Sequence[_Pair], **budget) -> list[PiecewiseLinearCurve
 
     Structured pairs (and all budgeted calls) route through the memoized
     :func:`repro.curves.minplus.convolve`, so repeated pairs — common when
-    a sweep perturbs only one operand — cost one construction.  When the
-    active backend is batched (``supports_batch``), the *generic* pairs
-    are instead probed against the kernel cache, deduplicated by content
-    key, partitioned by tail regime (the batched kernel requires
-    tail-homogeneous batches), and computed in one vectorized kernel call
-    per partition; a partition the backend still refuses falls back to the
-    per-pair generic path *for that partition only*.  Budget keywords
-    (``max_segments``/``max_error``/``direction``) are forwarded.
+    a sweep perturbs only one operand — cost one construction.  The
+    *generic* pairs are probed against the kernel cache once per distinct
+    content key, partitioned by tail regime (the kernel requires
+    tail-homogeneous batches), and computed in one kernel call per
+    partition.  Cache accounting matches a loop of :func:`convolve` calls:
+    one miss per distinct missed key, a hit for every repeat.  Budget
+    keywords (``max_segments``/``max_error``/``direction``) are forwarded.
     """
     pairs = list(pairs)
-    backend = active_backend()
-    if budget or not backend.supports_batch:
+    if budget:
         return [convolve(f, g, **budget) for f, g in pairs]
     results: list[PiecewiseLinearCurve | None] = [None] * len(pairs)
     misses: dict[tuple, list[int]] = {}
@@ -57,43 +55,33 @@ def convolve_many(pairs: Sequence[_Pair], **budget) -> list[PiecewiseLinearCurve
             results[i] = convolve(f, g)
             continue
         key = _convolve_key(f, g)
+        if key in misses:
+            misses[key].append(i)
+            continue
         found, value = kernel_cache.lookup(key)
         if found:
             results[i] = value
         else:
-            misses.setdefault(key, []).append(i)
-    if misses:
-        unique = [(key, idxs[0]) for key, idxs in misses.items()]
-        saturating = [
-            (key, i)
-            for key, i in unique
-            if min(pairs[i][0].final_slope, pairs[i][1].final_slope) == 0.0
-        ]
-        unbounded = [
-            (key, i)
-            for key, i in unique
-            if min(pairs[i][0].final_slope, pairs[i][1].final_slope) != 0.0
-        ]
-        for partition in (saturating, unbounded):
-            if not partition:
-                continue
-            operands = [pairs[i] for _, i in partition]
-            # batch-computed pairs never reach _convolve_dispatch, so the
-            # dispatch accounting meters them here under their own regime
-            _metrics.counter(
-                "minplus.dispatch", op="convolve", regime="batch"
-            ).inc(len(partition))
-            try:
-                outs = backend.convolve_batch(operands)
-            except ValidationError:
-                _metrics.counter(
-                    "minplus.batch.fallback", backend=backend.name
-                ).inc()
-                outs = [backend.convolve(f, g) for f, g in operands]
-            for (key, _), out in zip(partition, outs):
-                kernel_cache.put(key, out)
-                for i in misses[key]:
-                    results[i] = out
+            misses[key] = [i]
+    # the kernel takes tail-homogeneous batches: saturating results
+    # (a zero asymptotic rate) apart from unbounded ones
+    partitions: dict[bool, list[tuple]] = {}
+    for key, idxs in misses.items():
+        f, g = pairs[idxs[0]]
+        partitions.setdefault(min(f.final_slope, g.final_slope) == 0.0, []).append(key)
+    for partition in partitions.values():
+        _count_dispatch("convolve", "generic", len(partition))
+        outs = convolve_batch([pairs[misses[key][0]] for key in partition])
+        for key, out in zip(partition, outs):
+            kernel_cache.put(key, out)
+            first, *repeats = misses[key]
+            results[first] = out
+            for i in repeats:
+                # probe again so a repeat is accounted like the repeated
+                # convolve() call it stands for: a hit (a bypass when the
+                # cache is off)
+                kernel_cache.lookup(key)
+                results[i] = out
     return results
 
 

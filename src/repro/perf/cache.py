@@ -284,7 +284,6 @@ def configure(
     disk_dir: Any = None,
     disk_max_bytes: int | None = None,
     disk_shards: int | None = None,
-    backend: str | None = None,
 ) -> None:
     """Adjust the global cache: switch it on/off and/or resize it.
 
@@ -293,9 +292,7 @@ def configure(
     insert.  ``disk_dir`` attaches a persistent second level at that
     directory (see :func:`attach_disk_cache`), split into ``disk_shards``
     independently-locked shard directories; pass ``disk_dir=False`` to
-    detach it.  ``backend`` selects the active min-plus kernel backend
-    (see :mod:`repro.curves.backends`); switching is cache-sound because
-    generic-path keys carry the backend's compatibility tag.
+    detach it.
     """
     if enabled is not None:
         kernel_cache.enabled = bool(enabled)
@@ -307,10 +304,6 @@ def configure(
         detach_disk_cache()
     elif disk_dir is not None:
         attach_disk_cache(disk_dir, max_bytes=disk_max_bytes, shards=disk_shards)
-    if backend is not None:
-        from repro.curves.backends import set_backend
-
-        set_backend(backend)
 
 
 def attach_disk_cache(directory, *, max_bytes: int | None = None, shards: int | None = None):

@@ -9,6 +9,11 @@ vectorized kernels in :mod:`repro.curves.minplus`,
 on hundreds of randomized and degenerate inputs, with the kernel cache
 both on and off.
 
+:mod:`repro.reference.generic` is the one exception to "no shared code":
+the per-cell min-plus construction shares its cell grid and assembly with
+the batched kernel of :mod:`repro.curves.soa`, so the conformance suite
+can hold the kernel to it envelope for envelope.
+
 Never call these from production code paths.
 """
 
@@ -18,6 +23,7 @@ from repro.reference.envelope import (
     workload_eval_brute,
     workload_values_brute,
 )
+from repro.reference.generic import convolve_generic, deconvolve_generic
 from repro.reference.minplus import (
     convolve_at_brute,
     deconvolve_at_brute,
@@ -27,6 +33,8 @@ from repro.reference.minplus import (
 )
 
 __all__ = [
+    "convolve_generic",
+    "deconvolve_generic",
     "convolve_at_brute",
     "deconvolve_at_brute",
     "eval_pwl_brute",

@@ -88,7 +88,6 @@ def _context_kwargs(params: dict[str, Any]) -> dict[str, Any]:
         "stream_chunk": params.get("stream_chunk"),
         "max_segments": params.get("max_segments"),
         "compact_error": params.get("compact_error"),
-        "backend": params.get("backend"),
     }
 
 

@@ -114,6 +114,32 @@ async def handle_message(
     return True
 
 
+async def _read_request(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line (``b""`` at EOF), or ``None`` when the line
+    exceeds the reader's size limit.
+
+    An over-limit line is discarded through its newline, chunk by chunk,
+    so the next read starts on the next request and replies stay in step
+    with requests.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        # drop the bytes known to precede the newline, then look again
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+
+
 async def _session(
     service: AnalysisService,
     reader: asyncio.StreamReader,
@@ -130,7 +156,15 @@ async def _session(
 
     try:
         while True:
-            line = await reader.readline()
+            line = await _read_request(reader)
+            if line is None:
+                await send(
+                    protocol.error_response(
+                        "request line exceeds the server's size limit",
+                        error_type="protocol",
+                    )
+                )
+                continue
             if not line:
                 break
             try:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.curves.curve import PiecewiseLinearCurve, linear_curve, step_curve, zero_curve
+from repro.curves.minplus import convolve
 from repro.util.validation import ValidationError
 
 
@@ -130,6 +131,20 @@ class TestArithmetic:
         m = a.maximum(b)
         assert m(10.0) == pytest.approx(10.0)
         assert m(2.0) == pytest.approx(5.0)
+
+    def test_crossing_at_infinity_is_skipped(self):
+        # a subnormal slope difference puts the tail crossing at inf; it
+        # used to be added as a breakpoint and fail "curve data must be
+        # finite" (found through the concave ⊗ concave fast path)
+        f = PiecewiseLinearCurve([0.0], [1.0], [0.0])
+        g = PiecewiseLinearCurve([0.0], [0.0], [2.22507e-311])
+        low = f.minimum(g)
+        assert low.breakpoints.tolist() == [0.0]
+        assert low(1e300) == g(1e300)
+        high = f.maximum(g)
+        assert high.breakpoints.tolist() == [0.0]
+        assert high(1e300) == 1.0
+        assert convolve(f, g).breakpoints.tolist() == [0.0]
 
 
 class TestStructure:

@@ -1,7 +1,7 @@
 """Fuzzing the min-plus operators against brute force, including jumps.
 
-The per-interval line-envelope construction is the most intricate code in
-the repository; these tests compare it against direct numerical optimization
+The generic line-envelope kernel is the most intricate code in the
+repository; these tests compare it against direct numerical optimization
 over dense grids for random curves with staircase jumps, plateaus and rays.
 """
 
@@ -10,16 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.curves.backends import use_backend
 from repro.curves.curve import PiecewiseLinearCurve
 from repro.curves.minplus import convolve, convolve_at, deconvolve, deconvolve_at
 
-from tests.curves._backend_util import backend_params
-
-#: Every registered min-plus backend (numba shows as a skip when absent);
-#: the dispatch routes the generic kernel through the active backend, so
-#: the brute-force comparisons below gate each backend separately.
-BACKENDS = backend_params()
+from tests.curves._kernel_util import KERNELS, generic_kernel
 
 
 @st.composite
@@ -59,11 +53,11 @@ def brute_deconvolve(f, g, d, u_max, n=2000):
     return best
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS)
 @given(jumpy_curves(), jumpy_curves(), st.floats(min_value=0.0, max_value=12.0))
 @settings(max_examples=60, deadline=None)
-def test_convolve_at_matches_brute(backend_name, f, g, d):
-    with use_backend(backend_name):
+def test_convolve_at_matches_brute(kernel, f, g, d):
+    with generic_kernel(kernel):
         exact = convolve_at(f, g, d)
     brute = brute_convolve(f, g, d)
     # the grid can miss the true inf by a sliver; the exact value must be
@@ -74,20 +68,20 @@ def test_convolve_at_matches_brute(backend_name, f, g, d):
     assert exact >= brute - max_rate * step - max(f(d), g(d)) * 1e-9 - 1e-9
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS)
 @given(jumpy_curves(), jumpy_curves())
 @settings(max_examples=30, deadline=None)
-def test_convolve_curve_matches_pointwise(backend_name, f, g):
-    with use_backend(backend_name):
+def test_convolve_curve_matches_pointwise(kernel, f, g):
+    with generic_kernel(kernel):
         c = convolve(f, g)
         for d in np.linspace(0.0, 15.0, 16)[1:]:
             assert c(float(d)) == pytest.approx(convolve_at(f, g, float(d)), abs=1e-6)
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS)
 @given(jumpy_curves(), st.floats(min_value=0.1, max_value=5.0), st.floats(min_value=0.0, max_value=4.0))
 @settings(max_examples=40, deadline=None)
-def test_deconvolve_dominates_brute(backend_name, f, rate, latency):
+def test_deconvolve_dominates_brute(kernel, f, rate, latency):
     """Deconvolution through a rate-latency server: the exact result must
     dominate any brute-force sample of the sup (left-limit probes may make
     it strictly larger at jumps — conservative direction)."""
@@ -95,19 +89,19 @@ def test_deconvolve_dominates_brute(backend_name, f, rate, latency):
         return
     g = PiecewiseLinearCurve([0.0, max(latency, 1e-9)], [0.0, 0.0], [0.0, rate]) \
         if latency > 0 else PiecewiseLinearCurve([0.0], [0.0], [rate])
-    with use_backend(backend_name):
+    with generic_kernel(kernel):
         out = deconvolve(f, g)
     for d in np.linspace(0.0, 8.0, 9):
         brute = brute_deconvolve(f, g, float(d), u_max=20.0)
         assert out(float(d)) >= brute - 1e-6
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS)
 @given(jumpy_curves(), jumpy_curves())
 @settings(max_examples=30, deadline=None)
-def test_convolve_commutative_and_monotone(backend_name, f, g):
+def test_convolve_commutative_and_monotone(kernel, f, g):
     ds = np.linspace(0.0, 12.0, 25)
-    with use_backend(backend_name):
+    with generic_kernel(kernel):
         ab = convolve(f, g)(ds)
         ba = convolve(g, f)(ds)
     assert np.allclose(ab, ba, atol=1e-6)

@@ -1,7 +1,7 @@
 """Differential property tests for the structure-aware min-plus fast paths.
 
-The generic per-interval line-envelope kernel is the oracle: every fast
-path (convex ⊗ convex slope merge, concave ⊗ concave pointwise minimum,
+The per-cell generic construction of :mod:`repro.reference.generic` is
+the oracle: every fast path (convex ⊗ convex slope merge, concave ⊗ concave pointwise minimum,
 concave ⊘ convex closed form) must agree with it pointwise on random
 curves.  The fast paths assemble results with ``np.cumsum``, so agreement
 is to within a few ulps, not bit-exact — the comparisons use a tight
@@ -19,21 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.curves.curve import PiecewiseLinearCurve
-from repro.curves.minplus import (
-    convolve,
+from repro.curves.minplus import convolve, deconvolve
+from repro.reference import (
     convolve_generic,
-    deconvolve,
     deconvolve_generic,
+    is_concave_brute,
+    is_convex_brute,
 )
-from repro.curves.backends import use_backend
-from repro.reference import is_concave_brute, is_convex_brute
 
-from tests.curves._backend_util import backend_params
-
-#: Registered backends (numba skips with a visible reason when missing);
-#: generic-path tests run once per backend so the dispatch + oracle
-#: agreement gates every implementation, not just the numpy reference.
-BACKENDS = backend_params()
+from tests.curves._kernel_util import KERNELS, generic_kernel
 
 RTOL = 1e-12
 ATOL = 1e-12
@@ -155,23 +149,23 @@ class TestConvolveFastPaths:
         np.testing.assert_allclose(fast(pts), oracle(pts), rtol=RTOL, atol=ATOL)
         assert fast.is_concave
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     @given(convex_curves(), concave_curves())
     @settings(max_examples=40, deadline=None)
-    def test_mixed_dispatches_to_generic(self, backend_name, f, g):
+    def test_mixed_dispatches_to_generic(self, kernel, f, g):
         # mixed shapes fall through to the generic kernel; the memoized
         # entry point must still agree with a direct oracle call
-        with use_backend(backend_name):
+        with generic_kernel(kernel):
             out = convolve(f, g)
         oracle = convolve_generic(f, g)
         pts = _probe_grid(f, g, out, oracle)
         np.testing.assert_allclose(out(pts), oracle(pts), rtol=RTOL, atol=ATOL)
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     @given(jumpy_curves(), jumpy_curves())
     @settings(max_examples=40, deadline=None)
-    def test_general_curves_match_generic(self, backend_name, f, g):
-        with use_backend(backend_name):
+    def test_general_curves_match_generic(self, kernel, f, g):
+        with generic_kernel(kernel):
             out = convolve(f, g)
         oracle = convolve_generic(f, g)
         pts = _probe_grid(f, g, out, oracle)

@@ -8,7 +8,7 @@ compaction PR.
    cells a few ulp wide whose midpoint probes collapsed onto the cell
    edges and emitted garbage envelope pieces.  ``_dedupe_grid`` now
    merges such cells; these tests pin exact operand constellations that
-   exercised the bug, under every registered backend.
+   exercised the bug, under the kernel and the per-cell oracle alike.
 
 2. **Chain time-shift rounding** — ``chain._shift_time`` used to
    re-evaluate the curve at ``(x - shift) + shift``, which rounds across
@@ -26,14 +26,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.chain import _shift_time
-from repro.curves.backends import use_backend
 from repro.curves.curve import PiecewiseLinearCurve
 from repro.curves.minplus import convolve, deconvolve
 from repro.reference import convolve_at_brute, deconvolve_at_brute
 
-from tests.curves._backend_util import backend_params
-
-BACKENDS = backend_params()
+from tests.curves._kernel_util import KERNELS, generic_kernel
 
 #: At a jump of the exact inf/sup the definitional value is the left
 #: limit while the curve model keeps the right-continuous envelope, so
@@ -75,36 +72,36 @@ class TestUlpDegenerateGrids:
         )
         return f, g
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_convolve_survives_ulp_grid(self, backend_name):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_convolve_survives_ulp_grid(self, kernel):
         f, g = self._operands()
-        with use_backend(backend_name):
+        with generic_kernel(kernel):
             out = convolve(f, g)
         _assert_envelope_sane(out)
         _assert_matches_brute_convolve(out, f, g, [0.1, 0.2, 0.3, 0.1 + 0.2, 0.4, 1.0])
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_deconvolve_survives_ulp_grid(self, backend_name):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_deconvolve_survives_ulp_grid(self, kernel):
         # the deconvolve grid uses breakpoint *differences*; swap the
         # operand roles so the arrival rate stays below the service rate
         f, g = self._operands()
         if f.final_slope > g.final_slope:
             f, g = g, f
-        with use_backend(backend_name):
+        with generic_kernel(kernel):
             out = deconvolve(f, g)
         xs = out.breakpoints
         assert np.all(np.diff(xs) > 0.0)
         for d in (0.0, 0.1, 0.2, 0.3, 0.5, 2.0):
             assert out(d) >= deconvolve_at_brute(f, g, d) - BRUTE_TOL
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_shared_breakpoint_ulp_pair(self, backend_name):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_shared_breakpoint_ulp_pair(self, kernel):
         # both operands share a breakpoint an ulp away from a neighbour,
         # so the outer sum contains four pairwise near-duplicates
         xs = [0.0, 1.0, 1.0 + 2.0**-50, 2.0]
         f = PiecewiseLinearCurve(xs, [0.0, 2.0, 2.5, 3.0], [2.0, 1.0, 0.5, 0.25])
         g = PiecewiseLinearCurve(xs, [0.0, 1.5, 2.2, 2.8], [1.5, 0.8, 0.6, 0.3])
-        with use_backend(backend_name):
+        with generic_kernel(kernel):
             out = convolve(f, g)
         _assert_envelope_sane(out)
         _assert_matches_brute_convolve(out, f, g, [0.5, 1.0, 2.0, 2.0 + 2.0**-50, 4.0])

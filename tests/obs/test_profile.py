@@ -70,21 +70,18 @@ class TestAggregateSpans:
         assert agg["spans"]["a"]["self_s"] == pytest.approx(0.4)
         assert agg["spans"]["b"]["self_s"] == pytest.approx(0.2)
 
-    def test_backend_and_shape_breakdowns(self):
+    def test_shape_breakdown(self):
         records = [
-            _span("k", 0, 0.5, 0, attrs={"backend": "soa", "shape": "general|convex"}),
-            _span("k", 0, 0.25, 1, attrs={"backend": "soa"}),
-            _span("k", 0, 1.0, 2, attrs={"backend": "numpy"}),
+            _span("k", 0, 0.5, 0, attrs={"shape": "general|convex", "pairs": 1}),
+            _span("k", 0, 0.25, 1, attrs={"shape": "general|convex"}),
+            _span("k", 0, 1.0, 2, attrs={"pairs": 4}),
             _span("other", 0, 1.0, 3),
         ]
         agg = aggregate_spans(records)
-        assert agg["backends"]["soa"]["calls"] == 2
-        assert agg["backends"]["soa"]["self_s"] == pytest.approx(0.75)
-        assert agg["backends"]["numpy"]["min_s"] == pytest.approx(1.0)
-        assert agg["shapes"] == {
-            "general|convex": agg["shapes"]["general|convex"]
-        }
-        assert agg["shapes"]["general|convex"]["calls"] == 1
+        assert set(agg["shapes"]) == {"general|convex"}
+        assert agg["shapes"]["general|convex"]["calls"] == 2
+        assert agg["shapes"]["general|convex"]["self_s"] == pytest.approx(0.75)
+        assert agg["shapes"]["general|convex"]["min_s"] == pytest.approx(0.25)
 
     def test_empty_trace(self):
         agg = aggregate_spans([])
@@ -193,9 +190,6 @@ class TestDispatchAndCache:
         reg.counter("minplus.dispatch", op="convolve", regime="convex_fast").inc(5)
         reg.counter("minplus.dispatch", op="convolve", regime="generic").inc(2)
         reg.counter("minplus.dispatch", op="deconvolve", regime="generic").inc(1)
-        reg.counter("minplus.backend.calls", backend="soa", op="convolve").inc(2)
-        reg.counter("minplus.backend.calls", backend="soa", op="convolve_batch").inc(4)
-        reg.counter("minplus.batch.fallback", backend="soa").inc(1)
         reg.counter("cache.calls").inc(20)
         reg.counter("cache.hits").inc(8)
         reg.counter("cache.misses").inc(12)
@@ -204,15 +198,13 @@ class TestDispatchAndCache:
         reg.counter("cache.op.misses", op="minplus.convolve").inc(12)
         return reg
 
-    def test_dispatch_regimes_and_batch_rate(self):
+    def test_dispatch_regimes_and_memo(self):
         dispatch = dispatch_breakdown(self._registry().snapshot())
         assert dispatch["regimes"]["convolve"] == {
             "convex_fast": 5,
             "generic": 2,
         }
         assert dispatch["regimes"]["deconvolve"] == {"generic": 1}
-        assert dispatch["batch"]["calls"] == 4
-        assert dispatch["batch"]["fallback_rate"] == pytest.approx(0.25)
         assert dispatch["memo"] == {"lookups": 20, "hits": 8, "misses": 12}
 
     def test_cache_tiers_sum_to_lookups(self):

@@ -27,32 +27,27 @@ def _record(metrics, run_id=None):
         "run_id": run_id,
         "timestamp": None,
         "metrics": metrics,
-        "backends": {},
         "env": env_fingerprint(),
     }
 
 
 class TestFlatten:
     def test_numeric_leaves_become_dotted_metrics(self):
-        metrics, backends = flatten_bench(
+        metrics = flatten_bench(
             "minplus",
-            {"pair": {"speedup": 7.5, "segments": 200, "backend": "soa"}},
+            {"pair": {"speedup": 7.5, "segments": 200, "note": "general"}},
         )
         assert metrics == {
             "minplus.pair.speedup": 7.5,
             "minplus.pair.segments": 200.0,
         }
-        assert backends == {"minplus.pair": "soa"}
 
     def test_booleans_and_strings_excluded(self):
-        metrics, backends = flatten_bench(
-            "x", {"s": {"ok": True, "note": "fast", "v": 1}}
-        )
+        metrics = flatten_bench("x", {"s": {"ok": True, "note": "fast", "v": 1}})
         assert metrics == {"x.s.v": 1.0}
-        assert backends == {}
 
     def test_non_dict_sections_skipped(self):
-        metrics, _ = flatten_bench("x", {"schema": "v1", "s": {"v": 2}})
+        metrics = flatten_bench("x", {"schema": "v1", "s": {"v": 2}})
         assert metrics == {"x.s.v": 2.0}
 
 
@@ -61,7 +56,7 @@ class TestBuildAppendRead:
         bench = tmp_path / "bench"
         bench.mkdir()
         (bench / "BENCH_a.json").write_text(
-            json.dumps({"s": {"speedup": 3.0, "backend": "numba"}})
+            json.dumps({"s": {"speedup": 3.0}})
         )
         (bench / "not_a_bench.json").write_text("{}")
         store = tmp_path / "T.jsonl"
@@ -72,7 +67,6 @@ class TestBuildAppendRead:
         assert [r["run_id"] for r in records] == ["r1", "r2"]
         assert records[0]["schema"] == TRAJECTORY_SCHEMA
         assert records[0]["metrics"] == {"a.s.speedup": 3.0}
-        assert records[0]["backends"] == {"a.s": "numba"}
         assert records[0]["timestamp"] == "2026-08-08T00:00:00Z"
 
     def test_missing_store_is_empty_history(self, tmp_path):
@@ -89,17 +83,17 @@ class TestBuildAppendRead:
         assert env["python"]
         assert env["numpy"]  # numpy is a hard dependency of the repo
         assert env["cpu_count"] >= 1
-        assert "numba" in env and "git_sha" in env
+        assert "git_sha" in env
 
 
 class TestDirections:
     def test_gated_patterns(self):
-        assert metric_direction("minplus.general_backend.speedup") == "higher"
+        assert metric_direction("minplus.general_pair.speedup") == "higher"
         assert metric_direction("compact.bisection_vs_dense.eval_ratio") == "higher"
         assert metric_direction("minplus.streaming_extraction.peak_bytes") == "lower"
 
     def test_seconds_not_gated(self):
-        assert metric_direction("minplus.general_backend.backend_seconds") is None
+        assert metric_direction("minplus.general_pair.kernel_seconds") is None
         assert metric_direction("obs.report_generation.seconds") is None
 
 

@@ -45,6 +45,17 @@ class TestCounterAccounting:
         assert per_op["misses"] == 1
         assert per_op["hits"] == 4
 
+    def test_lookup_put_roundtrip_and_accounting(self):
+        key = ("test.lookup", "x")
+        found, value = kernel_cache.lookup(key)
+        assert not found and value is None
+        kernel_cache.put(key, 42)
+        found, value = kernel_cache.lookup(key)
+        assert found and value == 42
+        stats = perf.cache_stats()
+        assert stats["per_op"]["test.lookup"]["hits"] == 1
+        assert stats["per_op"]["test.lookup"]["misses"] == 1
+
     def test_per_op_counters_are_separate(self):
         f, g = _curves()
         convolve(f, g)

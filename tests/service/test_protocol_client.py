@@ -110,6 +110,19 @@ class TestClientServer:
             stats = client.stats()
             assert stats["states"].get("done", 0) >= 1
 
+    @pytest.mark.parametrize("events", [4_000, 40_000])
+    def test_over_limit_request_line_keeps_session(self, live_server, events):
+        # a submit line past the reader's 64 KiB limit (one buffered
+        # chunk, or many) gets exactly one protocol error; the rest of
+        # the line is discarded, so the next request gets its own reply
+        demands = [1000.0 + i / 7 for i in range(events)]
+        with ServiceClient(live_server, timeout=30) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit("curve", {"demands": demands})
+            assert excinfo.value.error_type == "protocol"
+            assert "states" in client.stats()
+            assert client.hello()["schema"] == protocol.SCHEMA
+
     def test_events_stream(self, live_server):
         with ServiceClient(live_server, timeout=30) as subscriber:
             with ServiceClient(live_server, timeout=30) as client:
